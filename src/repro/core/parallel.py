@@ -390,6 +390,12 @@ class ParSVDParallel(ParSVDBase):
         update's small (possibly randomized) SVD.  Consumes ``r_final`` in
         place on the workspace fast lane."""
         cfg = self._config
+        if not np.isfinite(r_final).all():
+            # R is a linear image of the batch: a NaN or Inf anywhere in
+            # any rank's block reaches it, so one small check covers all.
+            raise DataFormatError(
+                "the batch holds non-finite values (NaN or Inf)"
+            )
         if cfg.low_rank:
             return low_rank_svd(
                 r_final,
@@ -420,11 +426,12 @@ class ParSVDParallel(ParSVDBase):
     def incorporate_data(self, A: np.ndarray) -> "ParSVDParallel":
         """Ingest one more (local block of a) batch via distributed QR.
 
-        On the workspace fast lane (default) the three large per-step
-        intermediates — the scaled-modes ‖ batch concatenation, the TSQR
-        correction GEMM and the updated local modes — are written with
-        ``out=`` into persistent buffers, so a steady-state streaming loop
-        allocates no ``(M_i, K + batch)`` arrays at all.
+        On the workspace fast lane (default) the two large per-step
+        arrays — the scaled-modes ‖ batch concatenation, which the local
+        QR factors in place and whose reflectors then stand for the local
+        ``Q``, and the updated local modes, which that ``Q`` is applied to
+        in place — live in persistent buffers, so a steady-state streaming
+        loop allocates no ``(M_i, K + batch)`` arrays at all.
 
         With ``overlap=True`` the call returns with the step's
         communication in flight (see the class docstring); the previous
@@ -483,26 +490,28 @@ class ParSVDParallel(ParSVDBase):
 
         The leading result is the *combine* factor the steps fold into
         each correction block small-matrices-first, so every rank's whole
-        update costs one tall ``(M_i, K+B) x (K+B, K)`` GEMM.
+        update costs one tall lift of a ``(K+B, K)`` correction.
         """
         with _obs.span("parsvd.reduce", phase="svd", rank=self.comm.rank):
             u_new, s_new = self._reduce_r(r_final)
             u_new, s_new, _ = truncate_svd(u_new, s_new, None, self._config.K)
         return u_new, s_new
 
-    def _apply_update(self, q1: np.ndarray, fused: np.ndarray, s_new) -> None:
-        """Lift the fused correction through the local Q factor — the one
-        tall GEMM of the step, landed in the double-buffered modes."""
+    def _apply_update(self, q1, fused: np.ndarray, s_new) -> None:
+        """Lift the fused correction through the implicit local Q factor
+        (one ``?gemqrt``, the only tall operation of the step), landed in
+        the double-buffered modes."""
         if self._workspace is None:
-            self._ulocal = q1 @ fused
+            self._ulocal = q1.apply(fused)
         else:
-            # Double-buffered update: take a stable destination from the
-            # pool (never the buffer q1 lives in), GEMM into it, and
-            # recycle the previous generation's block.
+            # Double-buffered update: take a stable F-ordered destination
+            # from the pool (never the buffer q1's reflectors live in),
+            # apply Q in place there, and recycle the previous
+            # generation's block.
             new_u = self._workspace.take(
-                "ulocal", (q1.shape[0], fused.shape[1]), q1.dtype
+                "ulocal", (q1.shape[0], fused.shape[1]), q1.dtype, order="F"
             )
-            np.matmul(q1, fused, out=new_u)
+            q1.apply(fused, out=new_u)
             self._workspace.give_back("ulocal", self._ulocal)
             self._ulocal = new_u
         self._singular_values = s_new

@@ -28,7 +28,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..exceptions import ConfigurationError, ShapeError
-from ..utils.linalg import as_floating, economy_svd, qr_positive, truncate_svd
+from ..utils.linalg import (
+    as_floating,
+    economy_svd,
+    householder_qr,
+    truncate_svd,
+)
 from ..utils.rng import RngLike
 from .randomized import randomized_svd
 
@@ -101,13 +106,14 @@ def initialize_streaming(
 
     ``A_0 = Q R``; ``R = U' D_0 V_0^T``; ``U_0 = Q U'`` truncated to ``K``.
     The QR-first formulation keeps the SVD on the small ``B x B`` factor
-    ``R`` instead of the tall ``M x B`` batch.
+    ``R`` instead of the tall ``M x B`` batch; ``Q`` stays implicit and
+    only the ``K`` kept columns of ``U'`` are lifted through it.
     """
     a0 = _validate_batch(a0, "A0")
-    q, r = qr_positive(a0)
+    q, r = householder_qr(a0)
     u_inner, s = _inner_svd(r, k, low_rank, oversampling, power_iters, rng)
-    modes = q @ u_inner
-    modes, s, _ = truncate_svd(modes, s, None, k)
+    u_inner, s, _ = truncate_svd(u_inner, s, None, k)
+    modes = q.apply(u_inner)
     return StreamingState(
         modes=modes,
         singular_values=s,
@@ -144,12 +150,23 @@ def incorporate_batch(
         )
 
     # Column-concatenate the forgotten previous factorization with new data:
-    # m_ap = [ff * U_{i-1} D_{i-1} | A_i]
-    weighted = state.modes * (ff * state.singular_values)[np.newaxis, :]
-    m_ap = np.concatenate((weighted, a), axis=1)
+    # m_ap = [ff * U_{i-1} D_{i-1} | A_i], F-ordered so the QR below can
+    # factor it in place.
+    kept = state.modes.shape[1]
+    m_ap = np.empty(
+        (a.shape[0], kept + a.shape[1]),
+        dtype=np.result_type(state.modes.dtype, a.dtype),
+        order="F",
+    )
+    np.multiply(
+        state.modes,
+        (ff * state.singular_values)[np.newaxis, :],
+        out=m_ap[:, :kept],
+    )
+    m_ap[:, kept:] = a
 
-    # Step 1: QR of the concatenation.
-    u_dash, d_dash = qr_positive(m_ap)
+    # Step 1: QR of the concatenation (Q kept implicit).
+    u_dash, d_dash = householder_qr(m_ap, overwrite_a=True)
 
     # Step 2: SVD of the small factor.
     u_tilde, d_tilde = _inner_svd(
@@ -158,7 +175,7 @@ def incorporate_batch(
 
     # Steps 3-5: truncate to K and lift back through Q.
     keep = min(k, d_tilde.shape[0])
-    modes = u_dash @ u_tilde[:, :keep]
+    modes = u_dash.apply(u_tilde[:, :keep])
     return StreamingState(
         modes=modes,
         singular_values=d_tilde[:keep],

@@ -30,9 +30,12 @@ streaming update — and a **fused** reply carrying each rank's correction
 block together with ``reduce_fn``'s results in a single message).
 Between ``post`` and ``finish`` the caller is free to do unrelated work
 (ingest the next batch, prefetch IO) while the collectives are in flight;
-:class:`~repro.core.parallel.ParSVDParallel`'s ``overlap=True`` streaming
-update is built on these.  The numbers are identical to the blocking
-variants — same factorizations of the same values in the same order.
+:class:`~repro.core.parallel.ParSVDParallel`'s streaming update is built on
+these.  Their local factor keeps ``Q`` implicit
+(:func:`~repro.utils.linalg.householder_qr`): no tall ``Q`` is formed, the
+caller lifts the small fused correction through the compact-WY reflectors
+instead.  The blocking variants form ``Q`` explicitly from the same
+kernel, so both agree to round-off.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from ..exceptions import ShapeError
 from ..obs import runtime as _obs
-from ..utils.linalg import as_floating, qr_positive
+from ..utils.linalg import as_floating, householder_qr, qr_positive
 
 __all__ = [
     "PipelinedGatherStep",
@@ -383,12 +386,18 @@ class PipelinedGatherStep:
     envelopes per peer pair per step collapse into one, the blocking
     path's separate ``R``/result broadcasts disappear, and the
     correction-combine product is taken *small-matrices-first*: each rank
-    later needs only one tall GEMM ``q1 @ (correction @ combine)``
-    instead of ``(q1 @ correction) @ combine`` — a large cut of the
-    per-step FLOPs when ``combine`` is a truncation.
+    later lifts only ``correction @ combine`` through its local factor,
+    never ``(q1 @ correction) @ combine`` — a large cut of the per-step
+    FLOPs when ``combine`` is a truncation.
 
-    Returns ``(q1, fused_correction, *rest)``: the caller owns the final
-    ``q1 @ fused_correction`` product (and its destination buffer).
+    On one rank the stack is the local ``R`` alone, already upper
+    triangular with a nonnegative diagonal: its Householder reflectors are
+    all identities (``tau = 0``), so the refactor is skipped and
+    ``combine`` is the fused correction as is.
+
+    Returns ``(q1, fused_correction, *rest)`` with ``q1`` the local
+    :class:`~repro.utils.linalg.HouseholderQ`: the caller owns the final
+    ``q1.apply(fused_correction)`` lift (and its destination buffer).
     """
 
     def __init__(self, comm, a_local: np.ndarray, workspace=None) -> None:
@@ -404,7 +413,7 @@ class PipelinedGatherStep:
             ]
         scratch = workspace is not None and a_local.flags.writeable
         with _obs.span("tsqr.local_qr", phase="qr", rank=comm.rank):
-            self._q1, self._r1 = qr_positive(a_local, overwrite_a=scratch)
+            self._q1, self._r1 = householder_qr(a_local, overwrite_a=scratch)
         # In-flight sends are retained until finish() so backends whose
         # send requests own the wire buffer (mpi4py pickle mode) cannot
         # have it collected mid-flight.
@@ -439,13 +448,13 @@ class PipelinedGatherStep:
 
     def _finish(self, reduce_fn: Callable[[np.ndarray], tuple]) -> tuple:
         comm, workspace, n = self._comm, self._workspace, self._n
+        if comm.size == 1:
+            # The one-block stack is already canonical: Q2 = I, R = r1.
+            return (self._q1,) + tuple(reduce_fn(self._r1))
         if comm.rank == 0:
             blocks = [self._r1]
-            if comm.size > 1:
-                with _obs.span("tsqr.gather_wait", phase="wait", rank=0):
-                    blocks.extend(
-                        np.asarray(req.wait()) for req in self._up
-                    )
+            with _obs.span("tsqr.gather_wait", phase="wait", rank=0):
+                blocks.extend(np.asarray(req.wait()) for req in self._up)
             q2, r_final, offsets = _stack_and_refactor(blocks, n, workspace)
             reduced = tuple(reduce_fn(r_final))
             combine, rest = reduced[0], tuple(reduced[1:])
@@ -507,8 +516,8 @@ class PipelinedTreeStep:
     broadcasts at all.  The downsweep keeps full-width corrections (the
     children's chains need them); the ``combine`` fold happens
     small-matrices-first at the leaves, so — like the gather step — each
-    rank performs exactly one tall GEMM, owned by the caller.  Returns
-    ``(q1, fused_correction, *rest)``.
+    rank performs exactly one tall operation, the caller's lift through
+    its implicit local factor.  Returns ``(q1, fused_correction, *rest)``.
     """
 
     def __init__(self, comm, a_local: np.ndarray, workspace=None) -> None:
@@ -525,7 +534,7 @@ class PipelinedTreeStep:
             )
         scratch = workspace is not None and a_local.flags.writeable
         with _obs.span("tsqr.local_qr", phase="qr", rank=comm.rank):
-            self._q1, self._r1 = qr_positive(a_local, overwrite_a=scratch)
+            self._q1, self._r1 = householder_qr(a_local, overwrite_a=scratch)
         # In-flight sends are retained until finish() (mpi4py send
         # requests own the wire buffer; see PipelinedGatherStep).
         self._outbox = []
@@ -623,7 +632,7 @@ class PipelinedTreeStep:
             )
             correction = combined[:my_rows]
         # Small-first fuse at the leaf: fold the combine factor into the
-        # (n x n) correction before the single tall GEMM the caller runs.
+        # (n x n) correction before the single tall lift the caller runs.
         fused = correction @ combine
         # Drain the outbox (matching receives are preposted; see the
         # gather step).

@@ -62,7 +62,11 @@ class Workspace:
         return buf
 
     def take(
-        self, name: str, shape: Tuple[int, ...], dtype: np.dtype
+        self,
+        name: str,
+        shape: Tuple[int, ...],
+        dtype: np.dtype,
+        order: str = "C",
     ) -> np.ndarray:
         """Like :meth:`get`, but *removes* the buffer from the pool.
 
@@ -74,8 +78,8 @@ class Workspace:
         between two stable buffers (double buffering).
         """
         buf = self._buffers.pop(name, None)
-        if buf is None or not self._matches(buf, shape, dtype, "C"):
-            buf = np.empty(shape, dtype=dtype)
+        if buf is None or not self._matches(buf, shape, dtype, order):
+            buf = np.empty(shape, dtype=dtype, order=order)
         return buf
 
     def give_back(self, name: str, buf: np.ndarray) -> None:

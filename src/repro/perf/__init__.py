@@ -18,11 +18,13 @@ calibrated analytic model:
 
 from .costs import (
     ApmosTraffic,
+    StreamStepFlops,
     apmos_root_svd_flops,
     apmos_traffic,
     flops_gemm,
     flops_qr,
     flops_svd,
+    stream_step_flops,
 )
 from .machine import MachineModel, THETA_KNL, LAPTOP
 from .scaling import (
@@ -44,6 +46,8 @@ __all__ = [
     "apmos_traffic",
     "ApmosTraffic",
     "apmos_root_svd_flops",
+    "StreamStepFlops",
+    "stream_step_flops",
     "WeakScalingStudy",
     "StrongScalingStudy",
     "ScalingPoint",

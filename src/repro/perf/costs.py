@@ -7,6 +7,7 @@ the standard dense-kernel counts (Golub & Van Loan).
 
 Notation: one APMOS step at ``p`` ranks, each owning ``m_local x n`` data,
 local truncation ``r1``, ``k`` global modes, ``itemsize``-byte reals.
+:func:`stream_step_flops` models one streaming update instead.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ __all__ = [
     "flops_svd",
     "flops_gemm",
     "flops_eigh",
+    "flops_apply_q",
+    "StreamStepFlops",
+    "stream_step_flops",
     "ApmosTraffic",
     "apmos_traffic",
     "apmos_local_flops",
@@ -35,9 +39,19 @@ def _positive(**kwargs: float) -> None:
 
 def flops_qr(m: int, n: int) -> float:
     """Householder economy QR of an ``m x n`` matrix (``m >= n``):
-    ``2 m n^2 - (2/3) n^3``."""
+    ``2 m n^2 - (2/3) n^3``; a wide matrix reflects only ``m`` columns and
+    costs the same with ``m`` and ``n`` swapped."""
     _positive(m=m, n=n)
+    if m < n:
+        m, n = n, m
     return 2.0 * m * n * n - (2.0 / 3.0) * n**3
+
+
+def flops_apply_q(m: int, r: int, k: int) -> float:
+    """Apply the ``r`` Householder reflectors of an ``m``-row QR to an
+    ``m x k`` matrix (``?gemqrt``/``?ormqr``): ``4 m r k - 2 r^2 k``."""
+    _positive(m=m, r=r, k=k)
+    return 4.0 * m * r * k - 2.0 * r * r * k
 
 
 def flops_svd(m: int, n: int) -> float:
@@ -60,6 +74,71 @@ def flops_eigh(n: int) -> float:
     """Symmetric eigendecomposition of ``n x n``: ``~ 9 n^3``."""
     _positive(n=n)
     return 9.0 * n**3
+
+
+@dataclasses.dataclass(frozen=True)
+class StreamStepFlops:
+    """Flops of one streaming update (gather TSQR), per kernel.
+
+    Attributes
+    ----------
+    local_qr:
+        Each rank's compact-WY QR of ``[ff U D | A_i]``, ``(M_i, n)``
+        with ``n = K + batch``; ``Q`` stays implicit.
+    apply_q:
+        Each rank's lift of the ``(n, K)`` fused correction through its
+        implicit ``Q`` (the only tall operation after the QR).
+    root_refactor:
+        Rank 0's QR of the stacked ``(p n, n)`` R factors, its explicit
+        correction factor and the ``p`` small-first ``(n, n) x (n, K)``
+        fuse products; ``0`` on one rank, where the refactor is skipped.
+    small_svd:
+        Rank 0's SVD of the ``(n, n)`` global ``R``.
+    """
+
+    local_qr: float
+    apply_q: float
+    root_refactor: float
+    small_svd: float
+
+    @property
+    def rank0_total(self) -> float:
+        """Flops on rank 0, which runs every term."""
+        return (
+            self.local_qr + self.apply_q + self.root_refactor + self.small_svd
+        )
+
+
+def stream_step_flops(
+    m_local: int, k: int, batch: int, p: int = 1
+) -> StreamStepFlops:
+    """Flop model of one streaming update at ``p`` ranks of ``m_local``
+    rows each, ``k`` modes and ``batch`` new snapshots.
+
+    Golub-Van Loan counts for the Householder kernels (the compact-WY
+    ``T`` factors add lower-order terms the model omits); the dense small
+    SVD uses :func:`flops_svd`.  A rank with fewer rows than ``K + batch``
+    ships a short ``R``, which the stack sizes account for.
+    """
+    _positive(m_local=m_local, k=k, batch=batch, p=p)
+    n = k + batch
+    r_rows = min(m_local, n)  # rows of each rank's R (its reflectors)
+    if p == 1:
+        root, global_rows = 0.0, r_rows
+    else:
+        stack = p * r_rows
+        global_rows = min(stack, n)
+        root = (
+            flops_qr(stack, n)
+            + flops_apply_q(stack, global_rows, global_rows)
+            + p * flops_gemm(r_rows, k, global_rows)
+        )
+    return StreamStepFlops(
+        local_qr=flops_qr(m_local, n),
+        apply_q=flops_apply_q(m_local, r_rows, k),
+        root_refactor=root,
+        small_svd=flops_svd(global_rows, n),
+    )
 
 
 @dataclasses.dataclass(frozen=True)

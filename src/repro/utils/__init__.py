@@ -3,6 +3,8 @@
 from .linalg import (
     economy_qr,
     economy_svd,
+    householder_qr,
+    HouseholderQ,
     qr_positive,
     align_signs,
     orthogonality_defect,
@@ -16,6 +18,8 @@ from .timers import WallTimer
 __all__ = [
     "economy_qr",
     "economy_svd",
+    "householder_qr",
+    "HouseholderQ",
     "qr_positive",
     "align_signs",
     "orthogonality_defect",

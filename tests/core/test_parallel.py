@@ -5,8 +5,14 @@ import pytest
 
 from repro import ParSVDParallel, ParSVDSerial
 from repro.core.metrics import compare_modes
-from repro.exceptions import ConfigurationError, ShapeError
-from repro.smpi import SelfComm, run_spmd
+from repro.config import SolverConfig
+from repro.exceptions import (
+    CommunicatorError,
+    ConfigurationError,
+    DataFormatError,
+    ShapeError,
+)
+from repro.smpi import SelfComm, create_communicator, run_spmd
 from repro.utils.partition import block_partition
 
 
@@ -181,3 +187,36 @@ class TestRandomized:
             decaying_matrix, 2, batches, K=3, low_rank=True, seed=5
         )
         assert np.array_equal(a[0][0], b[0][0])
+
+
+class TestNonFiniteBatch:
+    """A NaN or Inf batch is refused by an explicit check on the global R
+    at the root, with a message naming both (single rank, self backend)."""
+
+    @staticmethod
+    def poisoned_batch(rng, bad):
+        batch = rng.standard_normal((60, 5))
+        batch[17, 3] = bad
+        return batch
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_blocking_step_raises_data_format_error(self, rng, bad):
+        svd = ParSVDParallel(
+            create_communicator("self"), solver=SolverConfig(K=3)
+        )
+        svd.initialize(rng.standard_normal((60, 5)))
+        with pytest.raises(DataFormatError, match=r"non-finite.*NaN or Inf"):
+            svd.incorporate_data(self.poisoned_batch(rng, bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_overlapped_step_raises_then_stays_poisoned(self, rng, bad):
+        svd = ParSVDParallel(
+            create_communicator("self"),
+            solver=SolverConfig(K=3, overlap=True),
+        )
+        svd.initialize(rng.standard_normal((60, 5)))
+        svd.incorporate_data(self.poisoned_batch(rng, bad))
+        with pytest.raises(DataFormatError, match=r"non-finite.*NaN or Inf"):
+            _ = svd.singular_values
+        with pytest.raises(CommunicatorError, match="stale"):
+            _ = svd.singular_values

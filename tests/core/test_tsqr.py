@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.tsqr import (
+    PipelinedGatherStep,
+    _stack_and_refactor,
     level_of_absorption,
     stride_of_absorption,
     tsqr_gather,
     tsqr_tree,
 )
 from repro.smpi import SelfComm, run_spmd
+from repro.core.workspace import Workspace
 from repro.utils.linalg import orthogonality_defect, qr_positive
 from repro.utils.partition import block_partition
 
@@ -112,3 +115,31 @@ class TestEdgeShapes:
         q, r, _ = run_tsqr(a, 6, "gather")
         assert q.shape == (300, 25)
         assert np.allclose(q @ r, a, atol=1e-9)
+
+
+class TestGatherStepSingleRank:
+    @pytest.mark.parametrize("workspace", [None, "pooled"])
+    def test_skipped_refactor_is_bit_identical_to_stacked(self, rng, workspace):
+        """One rank skips the stack-and-refactor of its lone R: that QR
+        reflects nothing (tau = 0), so skipping it changes no bit."""
+        a = np.asfortranarray(rng.standard_normal((70, 9)))
+        pool = Workspace() if workspace else None
+        seen = {}
+
+        def reduce_fn(r):
+            seen["r"] = r.copy()
+            u, s, _ = np.linalg.svd(r)
+            return u[:, :4], s[:4]
+
+        step = PipelinedGatherStep(SelfComm(), a, workspace=pool)
+        r1 = step._r1.copy()
+        _, fused, values = step.finish(reduce_fn)
+
+        q2, r_stacked, offsets = _stack_and_refactor([r1], 9, pool)
+        stacked_reduced = reduce_fn(r_stacked)
+        assert np.array_equal(seen["r"], r_stacked)
+        assert np.array_equal(q2, np.eye(9))
+        assert np.array_equal(
+            fused, q2[offsets[0] : offsets[1]] @ stacked_reduced[0]
+        )
+        assert np.array_equal(values, stacked_reduced[1])

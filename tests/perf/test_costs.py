@@ -8,11 +8,51 @@ from repro.perf.costs import (
     apmos_local_flops,
     apmos_root_svd_flops,
     apmos_traffic,
+    flops_apply_q,
     flops_eigh,
     flops_gemm,
     flops_qr,
     flops_svd,
+    stream_step_flops,
 )
+
+
+class TestStreamStepFlops:
+    def test_single_rank_terms(self):
+        # m = 1000, n = K + batch = 30: hand-evaluated counts.
+        step = stream_step_flops(1000, 10, 20)
+        assert step.local_qr == pytest.approx(2 * 1000 * 900 - 18000)
+        assert step.apply_q == pytest.approx(4 * 1000 * 30 * 10 - 2 * 900 * 10)
+        assert step.root_refactor == 0.0  # one rank skips the refactor
+        assert step.small_svd == pytest.approx(26 * 30**3)
+        assert step.rank0_total == pytest.approx(
+            step.local_qr + step.apply_q + step.small_svd
+        )
+
+    def test_root_refactor_at_several_ranks(self):
+        step = stream_step_flops(1000, 10, 20, p=4)
+        expected = flops_qr(120, 30) + flops_apply_q(120, 30, 30)
+        expected += 4 * flops_gemm(30, 10, 30)
+        assert step.root_refactor == pytest.approx(expected)
+        assert step.local_qr == stream_step_flops(1000, 10, 20).local_qr
+
+    def test_short_blocks_ship_short_r(self):
+        # 8 rows per rank < n = 12: each R has 8 rows, the stack 16.
+        step = stream_step_flops(8, 4, 8, p=2)
+        assert step.apply_q == pytest.approx(flops_apply_q(8, 8, 4))
+        assert step.small_svd == pytest.approx(flops_svd(12, 12))
+        assert step.root_refactor > 0
+
+    def test_local_qr_dominates_the_tall_step(self):
+        # The shape of the benchmark's single-rank step.
+        step = stream_step_flops(32768, 10, 20)
+        assert step.local_qr > step.apply_q > 10 * step.small_svd
+
+    def test_positive_required(self):
+        with pytest.raises(ConfigurationError):
+            stream_step_flops(100, 0, 5)
+        with pytest.raises(ConfigurationError):
+            stream_step_flops(100, 5, 5, p=0)
 
 
 class TestFlopCounts:
@@ -24,6 +64,9 @@ class TestFlopCounts:
         small = flops_qr(100, 10)
         large = flops_qr(200, 10)
         assert large / small == pytest.approx(2.0, rel=0.05)
+
+    def test_qr_handles_wide(self):
+        assert flops_qr(10, 100) == flops_qr(100, 10)
 
     def test_svd_handles_wide(self):
         assert flops_svd(10, 100) == flops_svd(100, 10)
